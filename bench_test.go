@@ -287,34 +287,32 @@ func BenchmarkAblationDeduction(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationIncremental compares the instant-decision driver's
-// implementation strategies: the from-scratch Algorithm 3 rescan and
-// full-order deduction pass the paper describes, vs the checkpointed scan
-// and incident-pairs-only deduction. Outputs are identical (see the
-// equivalence property tests); only the work per answer changes. The
-// deduction pass dominates, so IncrementalDeduce is the big lever.
-func BenchmarkAblationIncremental(b *testing.B) {
+// BenchmarkPlatformLabeling runs the platform labeler over a simulated
+// crowd with a seeded random worker on Paper@0.3: instant decisions
+// (republish after every non-matching answer, Section 5.2) and plain
+// rounds. The per-answer work — the incremental Algorithm-3 rescan and the
+// deduction pass over the touched cluster's incident pairs — is the whole
+// cost; crowd questions and publishes are reported beside it.
+func BenchmarkPlatformLabeling(b *testing.B) {
 	e := benchEnv(b)
 	pairs := e.Paper.Candidates(0.3)
 	order := core.ExpectedOrder(pairs)
-	configs := []struct {
-		name string
-		opts core.PlatformOptions
-	}{
-		{"paper-baseline", core.PlatformOptions{Instant: true}},
-		{"incr-scan", core.PlatformOptions{Instant: true, IncrementalScan: true}},
-		{"incr-deduce", core.PlatformOptions{Instant: true, IncrementalDeduce: true}},
-		{"incr-both", core.PlatformOptions{Instant: true, IncrementalScan: true, IncrementalDeduce: true}},
-	}
-	for _, cfg := range configs {
-		b.Run(cfg.name, func(b *testing.B) {
+	for _, mode := range []struct {
+		name    string
+		instant bool
+	}{{"instant", true}, {"plain", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var res *core.TraceResult
 			for i := 0; i < b.N; i++ {
 				pf := core.NewSimPlatform(e.Paper.Truth, core.SelectRandom, rand.New(rand.NewSource(3)))
-				_, err := core.LabelOnPlatformOpts(e.Paper.Dataset.Len(), order, pf, cfg.opts)
-				if err != nil {
+				var err error
+				if res, err = core.LabelOnPlatform(e.Paper.Dataset.Len(), order, pf, mode.instant); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(res.NumCrowdsourced), "crowdsourced")
+			b.ReportMetric(float64(len(res.PublishSizes)), "publishes")
 		})
 	}
 }

@@ -108,11 +108,13 @@ func TestBestNs(t *testing.T) {
 
 func TestGated(t *testing.T) {
 	for name, want := range map[string]bool{
-		"BenchmarkCandidatesPositional": true,
-		"BenchmarkStreamingAppend":      true,
-		"BenchmarkGiantComponent/k=4":   true,
-		"BenchmarkJournalReplay":        false,
-		"BenchmarkSomethingElse":        false,
+		"BenchmarkCandidatesPositional":     true,
+		"BenchmarkStreamingAppend":          true,
+		"BenchmarkGiantComponent/k=4":       true,
+		"BenchmarkPlatformLabeling/instant": true,
+		"BenchmarkPlatformLabeling/plain":   true,
+		"BenchmarkJournalReplay":            false,
+		"BenchmarkSomethingElse":            false,
 	} {
 		if got := gated(name); got != want {
 			t.Errorf("gated(%q) = %v, want %v", name, got, want)

@@ -125,19 +125,15 @@ func LabelOnPlatform(numObjects int, order []Pair, pf Platform, instant bool) (*
 	return LabelOnPlatformOpts(numObjects, order, pf, PlatformOptions{Instant: instant})
 }
 
-// LabelOnPlatformOpts is LabelOnPlatform with explicit options, including
-// the incremental scan/deduction implementations (identical results,
-// less work per answer on large candidate sets).
+// LabelOnPlatformOpts is LabelOnPlatform with explicit options.
 //
-// Deprecated: configure a Join with PlatformStrategy, WithPlatform,
-// WithInstantDecisions, and WithIncrementalPlatform and call Run; this
-// wrapper remains for compatibility and is result-identical to that
-// configuration.
+// Deprecated: configure a Join with PlatformStrategy, WithPlatform, and
+// WithInstantDecisions and call Run; this wrapper remains for
+// compatibility and is result-identical to that configuration.
 func LabelOnPlatformOpts(numObjects int, order []Pair, pf Platform, opts PlatformOptions) (*TraceResult, error) {
 	r, err := runLegacy(numObjects, order,
 		WithStrategy(PlatformStrategy), WithPlatform(pf),
-		WithInstantDecisions(opts.Instant),
-		WithIncrementalPlatform(opts.IncrementalScan, opts.IncrementalDeduce))
+		WithInstantDecisions(opts.Instant))
 	if err != nil {
 		return nil, err
 	}

@@ -74,9 +74,11 @@
 // too), which turns the exact expected-cost engine's world enumeration
 // (ConsistentWorlds, Section 4.2) into a depth-first walk costing one
 // insert+rollback per labeling-tree edge — amortized O(2^k) instead of
-// O(k·2^k) full rebuilds. The parallel labeler's rounds are incremental:
-// a persistent base graph permanently absorbs the labeled prefix of the
-// order, so each round replays only the still-active window.
+// O(k·2^k) full rebuilds. The parallel and platform labelers are
+// incremental: a persistent base graph permanently absorbs the labeled
+// prefix of the order, so each round replays only the still-active window,
+// and the platform labeler re-checks only the pairs incident to the
+// cluster each crowd answer touched.
 //
 // scripts/bench.sh snapshots the perf-critical benchmarks into
 // BENCH_core.json; see ROADMAP.md for the current measured baseline.

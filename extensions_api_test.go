@@ -52,10 +52,7 @@ func TestLabelOnPlatformOptsFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	order := crowdjoin.ExpectedOrder(pairs)
-	for _, opts := range []crowdjoin.PlatformOptions{
-		{Instant: true},
-		{Instant: true, IncrementalScan: true, IncrementalDeduce: true},
-	} {
+	for _, opts := range []crowdjoin.PlatformOptions{{}, {Instant: true}} {
 		pf := crowdjoin.NewSimulatedCrowd(exampleOracle(), crowdjoin.SelectRandom, rand.New(rand.NewSource(2)))
 		res, err := crowdjoin.LabelOnPlatformOpts(len(exampleTexts), order, pf, opts)
 		if err != nil {

@@ -10,80 +10,91 @@ import "crowdjoin/internal/clustergraph"
 // Soundness: inserting a matching label only changes deductions involving
 // the merged cluster (same-cluster queries inside it, edge queries from
 // it); inserting a non-matching label only adds deductions between the two
-// newly connected clusters. Every such pair touches the tracked members,
-// so checking pairs incident to them covers all newly deducible pairs.
+// newly connected clusters. Every such pair touches the visited cluster,
+// so checking pairs incident to its members covers all newly deducible
+// pairs.
+//
+// The whole structure is three flat slices: a CSR incidence index and one
+// circular successor list threading each cluster's members, so building
+// it costs three allocations and a merge splices two clusters in O(1).
 type incrementalDeducer struct {
 	g *clustergraph.Graph
-	// byObject[o] lists order positions of pairs touching object o.
-	byObject [][]int32
-	// members[r] lists the objects of the cluster rooted at r; only
-	// entries for current roots are meaningful.
-	members [][]int32
+	// byPos[start[o]:start[o+1]] lists, ascending, the order positions of
+	// the pairs touching object o.
+	start []int32
+	byPos []int32
+	// next[o] is the member after o in its cluster's circular list.
+	next []int32
 }
 
 func newIncrementalDeducer(numObjects int, order []Pair, g *clustergraph.Graph) *incrementalDeducer {
 	d := &incrementalDeducer{
-		g:        g,
-		byObject: make([][]int32, numObjects),
-		members:  make([][]int32, numObjects),
+		g:     g,
+		start: make([]int32, numObjects+1),
+		byPos: make([]int32, 2*len(order)),
+		next:  make([]int32, numObjects),
+	}
+	for _, p := range order {
+		d.start[p.A+1]++
+		d.start[p.B+1]++
+	}
+	for o := 0; o < numObjects; o++ {
+		d.start[o+1] += d.start[o]
+	}
+	// Fill each object's run front to back, borrowing next[o] as its
+	// cursor; it becomes the singleton cycle o → o afterwards.
+	for o := range d.next {
+		d.next[o] = d.start[o]
 	}
 	for pos, p := range order {
-		d.byObject[p.A] = append(d.byObject[p.A], int32(pos))
-		d.byObject[p.B] = append(d.byObject[p.B], int32(pos))
+		d.byPos[d.next[p.A]] = int32(pos)
+		d.next[p.A]++
+		d.byPos[d.next[p.B]] = int32(pos)
+		d.next[p.B]++
 	}
-	for i := range d.members {
-		d.members[i] = []int32{int32(i)}
+	for o := range d.next {
+		d.next[o] = int32(o)
 	}
 	return d
 }
 
-// insert records a crowd label and appends to buf the order positions of
-// pairs that may have become deducible, returning the extended buffer. On
-// a conflicting label the graph is unchanged and the error is returned for
-// the caller's conflict policy.
-func (d *incrementalDeducer) insert(a, b int32, matching bool, buf []int32) ([]int32, error) {
-	ra, rb := d.g.Root(a), d.g.Root(b)
+// insert records a crowd label and returns a member of the cluster whose
+// incident pairs may have become deducible (walk it with next and
+// incident), or -1 when the label implies nothing new. On a conflicting
+// label the graph is unchanged and the error is returned for the caller's
+// conflict policy.
+func (d *incrementalDeducer) insert(a, b int32, matching bool) (int32, error) {
 	if matching {
-		if ra == rb {
-			return buf, nil // already implied; no new deductions
+		if d.g.SameCluster(a, b) {
+			return -1, nil // already implied; no new deductions
 		}
 		if err := d.g.InsertMatching(a, b); err != nil {
-			return buf, err
+			return -1, err
 		}
-		buf = d.appendIncident(buf, d.members[ra])
-		buf = d.appendIncident(buf, d.members[rb])
-		// Merge member lists under the surviving root.
-		s := d.g.Root(a)
-		o := ra
-		if o == s {
-			o = rb
-		}
-		d.members[s] = append(d.members[s], d.members[o]...)
-		d.members[o] = nil
-		return buf, nil
+		// a and b sat on disjoint cycles; swapping their successors
+		// splices them into one cycle through the merged cluster.
+		d.next[a], d.next[b] = d.next[b], d.next[a]
+		return a, nil
 	}
-	if ra == rb {
+	if d.g.SameCluster(a, b) {
 		// Conflict: matching by deduction. Leave graph untouched.
-		return buf, d.g.InsertNonMatching(a, b)
+		return -1, d.g.InsertNonMatching(a, b)
 	}
 	if d.g.HasEdge(a, b) {
-		return buf, nil // already implied
+		return -1, nil // already implied
 	}
 	if err := d.g.InsertNonMatching(a, b); err != nil {
-		return buf, err
+		return -1, err
 	}
 	// Newly deducible pairs span the two clusters; every one of them
 	// touches the smaller side.
-	small := d.members[ra]
-	if len(d.members[rb]) < len(small) {
-		small = d.members[rb]
+	if d.g.ClusterSize(b) < d.g.ClusterSize(a) {
+		return b, nil
 	}
-	return d.appendIncident(buf, small), nil
+	return a, nil
 }
 
-func (d *incrementalDeducer) appendIncident(buf []int32, objects []int32) []int32 {
-	for _, o := range objects {
-		buf = append(buf, d.byObject[o]...)
-	}
-	return buf
+// incident returns the order positions of the pairs touching object o.
+func (d *incrementalDeducer) incident(o int32) []int32 {
+	return d.byPos[d.start[o]:d.start[o+1]]
 }

@@ -11,7 +11,8 @@ import (
 // TestIncrementalDeducerCoversAllNewDeductions: after every insert, the
 // pairs that became deducible (checked by exhaustive comparison of before/
 // after deducibility over the whole order) are a subset of the positions
-// the deducer reports.
+// incident to the cluster the deducer reports, and walking that cluster's
+// circular member list visits exactly its members.
 func TestIncrementalDeducerCoversAllNewDeductions(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -32,14 +33,34 @@ func TestIncrementalDeducerCoversAllNewDeductions(t *testing.T) {
 		for trial := 0; trial < 25; trial++ {
 			p := order[rng.Intn(len(order))]
 			l := truth.Label(p)
-			buf, err := d.insert(p.A, p.B, l == Matching, nil)
+			visit, err := d.insert(p.A, p.B, l == Matching)
 			if err != nil {
 				continue // conflict-free inputs only; skip
 			}
 			after := deducible()
 			reported := map[int]bool{}
-			for _, pos := range buf {
-				reported[order[pos].ID] = true
+			for m := visit; m >= 0; {
+				if !g.SameCluster(m, visit) {
+					return false // member list strayed out of the cluster
+				}
+				for _, pos := range d.incident(m) {
+					reported[order[pos].ID] = true
+				}
+				if m = d.next[m]; m == visit {
+					break
+				}
+			}
+			if visit >= 0 {
+				walked := 0
+				for m := d.next[visit]; ; m = d.next[m] {
+					walked++
+					if m == visit {
+						break
+					}
+				}
+				if walked != int(g.ClusterSize(visit)) {
+					return false // member list misses part of the cluster
+				}
 			}
 			for id, v := range after {
 				if bv, ok := before[id]; ok && bv == v {
@@ -58,51 +79,25 @@ func TestIncrementalDeducerCoversAllNewDeductions(t *testing.T) {
 	}
 }
 
-// TestLabelOnPlatformIncrementalDeduceEquivalence: the IncrementalDeduce
-// option changes no observable output, across instant modes, policies and
+// TestLabelOnPlatformIncrementalDeduceEquivalence: the incremental
+// deduction pass changes no observable output against the from-scratch
+// reference's whole-order sweep, across instant modes, a random worker and
 // noisy answer functions.
 func TestLabelOnPlatformIncrementalDeduceEquivalence(t *testing.T) {
 	f := func(seed int64, instant bool, noisy bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n, pairs, truth := randomInstance(rng, 14, 40)
-		var oracle Oracle = truth
+		c := platformReferenceCase{
+			numObjects: n, order: ExpectedOrder(pairs),
+			oracle: noisyOracle{truth: truth},
+			policy: SelectRandom, seed: seed + 9, instant: instant,
+		}
 		if noisy {
-			oracle = OracleFunc(func(p Pair) Label {
-				h := uint32(p.A)*31 + uint32(p.B)*17
-				if h%5 == 0 {
-					return LabelOf(!truth.Matches(p.A, p.B))
-				}
-				return LabelOf(truth.Matches(p.A, p.B))
-			})
+			c.oracle = noisyOracle{truth, 4}
 		}
-		order := ExpectedOrder(pairs)
-		run := func(incremental bool) *TraceResult {
-			pf := NewSimPlatform(oracle, SelectRandom, rand.New(rand.NewSource(seed+9)))
-			res, err := LabelOnPlatformOpts(n, order, pf, PlatformOptions{
-				Instant:           instant,
-				IncrementalDeduce: incremental,
-			})
-			if err != nil {
-				return nil
-			}
-			return res
-		}
-		a, b := run(false), run(true)
-		if a == nil || b == nil {
+		if err := c.check(); err != nil {
+			t.Log(err)
 			return false
-		}
-		if a.NumCrowdsourced != b.NumCrowdsourced || a.NumDeduced != b.NumDeduced || a.Conflicts != b.Conflicts {
-			return false
-		}
-		for id := range a.Labels {
-			if a.Labels[id] != b.Labels[id] || a.Crowdsourced[id] != b.Crowdsourced[id] {
-				return false
-			}
-		}
-		for i := range a.Availability {
-			if a.Availability[i] != b.Availability[i] {
-				return false
-			}
 		}
 		return true
 	}
@@ -121,14 +116,14 @@ func TestIncrementalDeducerConflictLeavesStateUsable(t *testing.T) {
 	}
 	g := clustergraph.New(3)
 	d := newIncrementalDeducer(3, order, g)
-	if _, err := d.insert(0, 1, true, nil); err != nil {
+	if _, err := d.insert(0, 1, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.insert(1, 2, true, nil); err != nil {
+	if _, err := d.insert(1, 2, true); err != nil {
 		t.Fatal(err)
 	}
 	// 0 and 2 are matching by deduction; a non-matching insert conflicts.
-	if _, err := d.insert(0, 2, false, nil); err == nil {
+	if _, err := d.insert(0, 2, false); err == nil {
 		t.Fatal("conflict not reported")
 	}
 	// State must still work: inserting the consistent label is a no-op and

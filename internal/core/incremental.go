@@ -78,22 +78,25 @@ func (s *IncrementalScanner) NoteLabel(id int, l Label) {
 	s.posLabels[s.posByID[id]] = l
 }
 
-// Crowdsourceable returns the pairs that must be crowdsourced given the
-// current labels (indexed by Pair.ID), excluding pairs marked in skip.
-func (s *IncrementalScanner) Crowdsourceable(labels []Label, skip []bool) []Pair {
-	out, _ := s.scan(labels, skip, nil, nil)
-	return out
+// maxBatch bounds the size of any batch a scan returns: every selected (or
+// skipped) pair is undeducible, so assuming it matching merges two scan
+// clusters, which can happen at most numObjects-1 times. A buffer of this
+// capacity never grows.
+func (s *IncrementalScanner) maxBatch() int {
+	return max(0, min(s.base.Len()-1, len(s.order)))
 }
 
-// scan is the Algorithm 3 kernel behind Crowdsourceable and the fused
-// parallel driver. When dedG is non-nil, each still-unlabeled pair is
-// first checked against it with the precomputed roots (Algorithm 2's
-// deduction phase fused into the same pass); a deduced pair's label is
-// written into labels (and the mirror) and counted in the returned total,
-// and the scan then treats the pair as labeled.
-// The returned batch is freshly allocated: it is handed to Platform and
-// BatchOracle implementations, which may retain it.
-func (s *IncrementalScanner) scan(labels []Label, skip []bool, dedG *clustergraph.Graph, dedRoots []int32) (out []Pair, deduced int) {
+// scan is the Algorithm 3 kernel behind the parallel and platform
+// drivers: it appends to dst the pairs that must be crowdsourced given
+// the current labels (indexed by Pair.ID), excluding pairs marked in skip.
+// When dedG is non-nil, each still-unlabeled pair is first checked against
+// it with the precomputed roots (Algorithm 2's deduction phase fused into
+// the same pass); a deduced pair's label is written into labels (and the
+// mirror) and counted in the returned total, and the scan then treats the
+// pair as labeled. Platform and BatchOracle implementations may retain the
+// batch they are handed, so callers that reuse dst must hand out a copy.
+func (s *IncrementalScanner) scan(dst []Pair, labels []Label, skip []bool, dedG *clustergraph.Graph, dedRoots []int32) (out []Pair, deduced int) {
+	out = dst
 	// Advance the base past the labeled prefix; these positions replay
 	// identically forever, so this work happens once per position. An
 	// unlabeled pair that deduction can label right now is final too, so

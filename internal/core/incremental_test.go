@@ -35,7 +35,7 @@ func TestIncrementalScannerMatchesScratch(t *testing.T) {
 					wantUnpublished = append(wantUnpublished, p)
 				}
 			}
-			got := scanner.Crowdsourceable(labels, published)
+			got, _ := scanner.scan(nil, labels, published, nil, nil)
 			if len(got) != len(wantUnpublished) {
 				return false
 			}
@@ -87,49 +87,20 @@ func TestIncrementalScannerMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestLabelOnPlatformIncrementalEquivalence: the options flag changes no
-// observable output — published pairs, labels, availability traces and
-// publish sizes are identical for scratch and incremental scans.
+// TestLabelOnPlatformIncrementalEquivalence: the incremental scan changes
+// no observable output — published pairs, labels, availability traces and
+// publish sizes are identical to the from-scratch reference's rescans.
 func TestLabelOnPlatformIncrementalEquivalence(t *testing.T) {
 	f := func(seed int64, instant bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n, pairs, truth := randomInstance(rng, 14, 40)
-		order := ExpectedOrder(pairs)
-		run := func(incremental bool) *TraceResult {
-			pf := NewSimPlatform(truth, SelectRandom, rand.New(rand.NewSource(seed+5)))
-			res, err := LabelOnPlatformOpts(n, order, pf, PlatformOptions{
-				Instant:         instant,
-				IncrementalScan: incremental,
-			})
-			if err != nil {
-				return nil
-			}
-			return res
+		c := platformReferenceCase{
+			numObjects: n, order: ExpectedOrder(pairs),
+			oracle: truth, policy: SelectRandom, seed: seed + 5, instant: instant,
 		}
-		a, b := run(false), run(true)
-		if a == nil || b == nil {
+		if err := c.check(); err != nil {
+			t.Log(err)
 			return false
-		}
-		if a.NumCrowdsourced != b.NumCrowdsourced || a.NumDeduced != b.NumDeduced {
-			return false
-		}
-		for id := range a.Labels {
-			if a.Labels[id] != b.Labels[id] || a.Crowdsourced[id] != b.Crowdsourced[id] {
-				return false
-			}
-		}
-		if len(a.PublishSizes) != len(b.PublishSizes) {
-			return false
-		}
-		for i := range a.PublishSizes {
-			if a.PublishSizes[i] != b.PublishSizes[i] {
-				return false
-			}
-		}
-		for i := range a.Availability {
-			if a.Availability[i] != b.Availability[i] {
-				return false
-			}
 		}
 		return true
 	}

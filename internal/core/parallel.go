@@ -118,7 +118,7 @@ func LabelParallelRun(numObjects int, order []Pair, oracle BatchOracle, ro RunOp
 	labeled.RootsInto(rootBuf)
 
 	for unlabeled > 0 {
-		batch, deduced := scanner.scan(res.Labels, nil, labeled, rootBuf)
+		batch, deduced := scanner.scan(nil, res.Labels, nil, labeled, rootBuf)
 		res.NumDeduced += deduced
 		unlabeled -= deduced
 		if len(batch) == 0 {

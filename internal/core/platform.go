@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"crowdjoin/internal/clustergraph"
 )
@@ -47,17 +48,6 @@ type PlatformOptions struct {
 	// republish newly mandatory pairs after every answer instead of
 	// waiting for the platform to drain.
 	Instant bool
-	// IncrementalScan computes Algorithm 3 with the IncrementalScanner —
-	// which replays only the order's suffix past the fully labeled prefix —
-	// instead of rebuilding the scan from scratch at every republish. The
-	// published pairs and final labels are identical; only the work per
-	// republish changes (see BenchmarkAblationIncremental).
-	IncrementalScan bool
-	// IncrementalDeduce re-checks only the pairs incident to the clusters
-	// a crowd answer touched, instead of walking the whole order after
-	// every answer. Results are identical; the deduction pass dominates
-	// the driver's cost on large candidate sets.
-	IncrementalDeduce bool
 }
 
 // LabelOnPlatform drives the parallel labeling algorithm through a Platform.
@@ -69,6 +59,12 @@ type PlatformOptions struct {
 // observation under non-matching-first, only a non-matching answer can make
 // new pairs mandatory — a matching answer confirms what Algorithm 3 already
 // assumed — so the recomputation is skipped on matching answers.
+//
+// The work per answer is incremental: each republish runs Algorithm 3 on
+// an IncrementalScanner, which replays only the order's active window, and
+// the post-answer deduction re-checks only the pairs incident to the
+// cluster the answer touched. Publishes and labels are those of the
+// from-scratch formulation (full rescan, whole-order deduction sweep).
 func LabelOnPlatform(numObjects int, order []Pair, pf Platform, instant bool) (*TraceResult, error) {
 	return LabelOnPlatformOpts(numObjects, order, pf, PlatformOptions{Instant: instant})
 }
@@ -93,25 +89,12 @@ func LabelOnPlatformRun(numObjects int, order []Pair, pf Platform, opts Platform
 	unlabeled := len(order)
 	instant := opts.Instant
 
-	var scan func() []Pair
-	if opts.IncrementalScan {
-		scanner := NewIncrementalScanner(numObjects, order)
-		scan = func() []Pair {
-			return scanner.Crowdsourceable(res.Labels, published)
-		}
-	} else {
-		scratch := clustergraph.New(numObjects)
-		scan = func() []Pair {
-			scratch.Reset()
-			return crowdsourceable(scratch, order, res.Labels, published)
-		}
-	}
+	scanner := NewIncrementalScanner(numObjects, order)
+	ded := newIncrementalDeducer(numObjects, order, labeled)
+	// scratch is the reused scan output; each publish hands out an exact
+	// copy.
+	scratch := make([]Pair, 0, scanner.maxBatch())
 
-	var ded *incrementalDeducer
-	var affected []int32
-	if opts.IncrementalDeduce {
-		ded = newIncrementalDeducer(numObjects, order, labeled)
-	}
 	// deducePair applies the post-answer deduction to one candidate pair.
 	deducePair := func(q Pair) {
 		if res.Labels[q.ID] != Unlabeled || published[q.ID] {
@@ -132,10 +115,13 @@ func LabelOnPlatformRun(numObjects int, order []Pair, pf Platform, opts Platform
 	}
 
 	publish := func() {
-		batch := scan()
-		if len(batch) == 0 {
+		scratch, _ = scanner.scan(scratch[:0], res.Labels, published, nil, nil)
+		if len(scratch) == 0 {
 			return
 		}
+		// The platform may retain what it is handed, so it gets its own
+		// exactly sized copy.
+		batch := slices.Clone(scratch)
 		for _, p := range batch {
 			published[p.ID] = true
 		}
@@ -190,12 +176,7 @@ func LabelOnPlatformRun(numObjects int, order []Pair, pf Platform, opts Platform
 		if res.Labels[p.ID] != Unlabeled {
 			return nil, fmt.Errorf("core: platform relabeled pair %v", p)
 		}
-		var insertErr error
-		if ded != nil {
-			affected, insertErr = ded.insert(p.A, p.B, l == Matching, affected[:0])
-		} else {
-			insertErr = labeled.Insert(p.A, p.B, l == Matching)
-		}
+		visit, insertErr := ded.insert(p.A, p.B, l == Matching)
 		if insertErr != nil {
 			if !errors.Is(insertErr, clustergraph.ErrConflict) {
 				return nil, fmt.Errorf("core: platform labeling: %w", insertErr)
@@ -218,18 +199,19 @@ func LabelOnPlatformRun(numObjects int, order []Pair, pf Platform, opts Platform
 		res.NumCrowdsourced++
 		ro.emitPair(EventPairCrowdsourced, p, l)
 		unlabeled--
-		// Deduce everything that now follows from the crowd labels.
-		// Published pairs are excluded: they are already paid for and their
-		// crowd answer is on its way, so the crowd label wins. (With an
-		// inconsistent crowd a published pair can become deducible before
-		// its HIT completes; deducing it would double-label it.)
-		if ded != nil {
-			for _, pos := range affected {
+		// Deduce everything that now follows from the crowd labels: only
+		// pairs incident to the cluster the answer touched can have become
+		// deducible. Published pairs are excluded: they are already paid
+		// for and their crowd answer is on its way, so the crowd label
+		// wins. (With an inconsistent crowd a published pair can become
+		// deducible before its HIT completes; deducing it would
+		// double-label it.)
+		for m := visit; m >= 0; {
+			for _, pos := range ded.incident(m) {
 				deducePair(order[pos])
 			}
-		} else {
-			for _, q := range order {
-				deducePair(q)
+			if m = ded.next[m]; m == visit {
+				break
 			}
 		}
 		if instant && l == NonMatching {

@@ -197,46 +197,51 @@ func equalIntSlices(a, b []int) bool {
 }
 
 // TestShardedPlatformMatchesUnsharded pins the component-interleaved
-// platform driver against the global one on labels, crowdsourced flags,
-// and conflict counts, across selection policies and option combinations.
-// (Publish traces legitimately differ: the sharded driver splits publish
-// events per component.)
+// platform driver against the global one and against the global
+// from-scratch reference on labels, crowdsourced flags, and conflict
+// counts, across selection policies and both modes. (Publish traces
+// legitimately differ: the sharded driver splits publish events per
+// component.)
 func TestShardedPlatformMatchesUnsharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	policies := []SelectionPolicy{SelectFIFO, SelectAscendingLikelihood}
-	optss := []PlatformOptions{
-		{},
-		{Instant: true},
-		{Instant: true, IncrementalScan: true},
-		{Instant: true, IncrementalDeduce: true},
-		{Instant: true, IncrementalScan: true, IncrementalDeduce: true},
+	bases := []struct {
+		name string
+		run  func(int, []Pair, Platform, bool) (*TraceResult, error)
+	}{
+		{"unsharded", func(n int, order []Pair, pf Platform, instant bool) (*TraceResult, error) {
+			return LabelOnPlatformRun(n, order, pf, PlatformOptions{Instant: instant}, RunOpts{})
+		}},
+		{"reference", referencePlatform},
 	}
 	for trial := 0; trial < 20; trial++ {
 		numObjects, order, truth := randomShardWorkload(rng)
 		oracles := []Oracle{truth, flakyOracle{truth}}
 		oracle := oracles[trial%len(oracles)]
 		for _, policy := range policies {
-			for _, opts := range optss {
-				base, err := LabelOnPlatformRun(numObjects, order, NewSimPlatform(oracle, policy, nil), opts, RunOpts{})
+			for _, instant := range []bool{false, true} {
+				sharded, err := LabelShardedOnPlatformRun(numObjects, order, NewSimPlatform(oracle, policy, nil), PlatformOptions{Instant: instant}, RunOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				sharded, err := LabelShardedOnPlatformRun(numObjects, order, NewSimPlatform(oracle, policy, nil), opts, RunOpts{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(base.Labels, sharded.Labels) {
-					t.Fatalf("trial %d policy=%v opts=%+v: labels diverged", trial, policy, opts)
-				}
-				if !reflect.DeepEqual(base.Crowdsourced, sharded.Crowdsourced) ||
-					base.NumCrowdsourced != sharded.NumCrowdsourced ||
-					base.NumDeduced != sharded.NumDeduced ||
-					base.Conflicts != sharded.Conflicts {
-					t.Fatalf("trial %d policy=%v opts=%+v: cost diverged: crowdsourced %d vs %d, deduced %d vs %d, conflicts %d vs %d",
-						trial, policy, opts,
-						base.NumCrowdsourced, sharded.NumCrowdsourced,
-						base.NumDeduced, sharded.NumDeduced,
-						base.Conflicts, sharded.Conflicts)
+				for _, bc := range bases {
+					base, err := bc.run(numObjects, order, NewSimPlatform(oracle, policy, nil), instant)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(base.Labels, sharded.Labels) {
+						t.Fatalf("trial %d policy=%v instant=%v vs %s: labels diverged", trial, policy, instant, bc.name)
+					}
+					if !reflect.DeepEqual(base.Crowdsourced, sharded.Crowdsourced) ||
+						base.NumCrowdsourced != sharded.NumCrowdsourced ||
+						base.NumDeduced != sharded.NumDeduced ||
+						base.Conflicts != sharded.Conflicts {
+						t.Fatalf("trial %d policy=%v instant=%v vs %s: cost diverged: crowdsourced %d vs %d, deduced %d vs %d, conflicts %d vs %d",
+							trial, policy, instant, bc.name,
+							base.NumCrowdsourced, sharded.NumCrowdsourced,
+							base.NumDeduced, sharded.NumDeduced,
+							base.Conflicts, sharded.Conflicts)
+					}
 				}
 			}
 		}

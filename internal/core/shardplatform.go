@@ -22,10 +22,12 @@ type platformShardState struct {
 	// plain (non-instant) mode a shard refills the moment its own round
 	// drains, instead of waiting for the whole platform to drain.
 	outstanding int
-	scan        func() []Pair
+	scanner     *IncrementalScanner
 	ded         *incrementalDeducer
-	affected    []int32
-	conflicts   int
+	// batch is the reused scan output; publishes translate it into a
+	// fresh global slice.
+	batch     []Pair
+	conflicts int
 }
 
 // LabelShardedOnPlatformRun drives the platform labeler with the candidate
@@ -64,28 +66,19 @@ func LabelPartitionedOnPlatformRun(pt *Partition, pf Platform, opts PlatformOpti
 	states := make([]*platformShardState, len(pt.Shards))
 	for i := range pt.Shards {
 		s := &pt.Shards[i]
-		st := &platformShardState{
+		labeled := clustergraph.New(s.NumObjects)
+		scanner := NewIncrementalScanner(s.NumObjects, s.Order)
+		states[i] = &platformShardState{
 			s:         s,
 			ro:        s.shardRunOpts(ro.Ctx, ro.Progress, &progressMu),
 			res:       *newResult(len(s.Order)),
-			labeled:   clustergraph.New(s.NumObjects),
+			labeled:   labeled,
 			published: make([]bool, len(s.Order)),
 			unlabeled: len(s.Order),
+			scanner:   scanner,
+			ded:       newIncrementalDeducer(s.NumObjects, s.Order, labeled),
+			batch:     make([]Pair, 0, scanner.maxBatch()),
 		}
-		if opts.IncrementalScan {
-			scanner := NewIncrementalScanner(s.NumObjects, s.Order)
-			st.scan = func() []Pair { return scanner.Crowdsourceable(st.res.Labels, st.published) }
-		} else {
-			scratch := clustergraph.New(s.NumObjects)
-			st.scan = func() []Pair {
-				scratch.Reset()
-				return crowdsourceable(scratch, s.Order, st.res.Labels, st.published)
-			}
-		}
-		if opts.IncrementalDeduce {
-			st.ded = newIncrementalDeducer(s.NumObjects, s.Order, st.labeled)
-		}
-		states[i] = st
 	}
 
 	// finish merges the per-shard results; PublishSizes and Availability
@@ -101,12 +94,12 @@ func LabelPartitionedOnPlatformRun(pt *Partition, pf Platform, opts PlatformOpti
 	// translated to global coordinates. One publish event per shard per
 	// round keeps traces attributable to components.
 	publish := func(st *platformShardState) {
-		batch := st.scan()
-		if len(batch) == 0 {
+		st.batch, _ = st.scanner.scan(st.batch[:0], st.res.Labels, st.published, nil, nil)
+		if len(st.batch) == 0 {
 			return
 		}
-		global := make([]Pair, len(batch))
-		for i, p := range batch {
+		global := make([]Pair, len(st.batch))
+		for i, p := range st.batch {
 			st.published[p.ID] = true
 			global[i] = st.s.Global[p.ID]
 		}
@@ -205,12 +198,7 @@ func LabelPartitionedOnPlatformRun(pt *Partition, pf Platform, opts PlatformOpti
 		if st.res.Labels[lp.ID] != Unlabeled {
 			return nil, fmt.Errorf("core: platform relabeled pair %v", p)
 		}
-		var insertErr error
-		if st.ded != nil {
-			st.affected, insertErr = st.ded.insert(lp.A, lp.B, l == Matching, st.affected[:0])
-		} else {
-			insertErr = st.labeled.Insert(lp.A, lp.B, l == Matching)
-		}
+		visit, insertErr := st.ded.insert(lp.A, lp.B, l == Matching)
 		if insertErr != nil {
 			if !errors.Is(insertErr, clustergraph.ErrConflict) {
 				return nil, fmt.Errorf("core: platform labeling: %w", insertErr)
@@ -232,13 +220,12 @@ func LabelPartitionedOnPlatformRun(pt *Partition, pf Platform, opts PlatformOpti
 		st.outstanding--
 		st.unlabeled--
 		unlabeled--
-		if st.ded != nil {
-			for _, pos := range st.affected {
+		for m := visit; m >= 0; {
+			for _, pos := range st.ded.incident(m) {
 				deducePair(st, st.s.Order[pos])
 			}
-		} else {
-			for _, q := range st.s.Order {
-				deducePair(st, q)
+			if m = st.ded.next[m]; m == visit {
+				break
 			}
 		}
 		switch {

@@ -162,8 +162,6 @@ type Join struct {
 	platform Platform
 
 	instant     bool
-	incScan     bool
-	incDeduce   bool
 	concurrency int
 
 	// triage holds the similarity bands of WithTriage (zero = disabled),
@@ -305,12 +303,12 @@ func WithInstantDecisions(on bool) JoinOption {
 	return func(j *Join) { j.instant = on }
 }
 
-// WithIncrementalPlatform selects the incremental Algorithm-3 scan and the
-// incremental deduction pass for PlatformStrategy (identical results, less
-// work per answer on large candidate sets; default off, matching the
-// legacy LabelOnPlatform).
+// WithIncrementalPlatform has no effect: PlatformStrategy always runs the
+// incremental Algorithm-3 scan and deduction pass it used to select.
+//
+// Deprecated: drop the option; the results were always identical.
 func WithIncrementalPlatform(scan, deduce bool) JoinOption {
-	return func(j *Join) { j.incScan, j.incDeduce = scan, deduce }
+	return func(*Join) {}
 }
 
 // WithConcurrency shards the session by connected component of the
@@ -762,7 +760,7 @@ func (j *Join) runOnce(runCtx context.Context, numObjects int, order []Pair, pt 
 			res.Conflicts = r.Conflicts
 		}
 	case strategyPlatform:
-		opts := PlatformOptions{Instant: j.instant, IncrementalScan: j.incScan, IncrementalDeduce: j.incDeduce}
+		opts := PlatformOptions{Instant: j.instant}
 		var r *core.TraceResult
 		var err error
 		if sharded {

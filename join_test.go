@@ -134,12 +134,8 @@ func TestJoinMatchesCoreDrivers(t *testing.T) {
 			}
 		}
 
-		// Platform, all option combinations, deterministic worker policy.
-		for _, opts := range []core.PlatformOptions{
-			{},
-			{Instant: true},
-			{Instant: true, IncrementalScan: true, IncrementalDeduce: true},
-		} {
+		// Platform, both modes, deterministic worker policy.
+		for _, opts := range []core.PlatformOptions{{}, {Instant: true}} {
 			pf1 := core.NewSimPlatform(oracle, core.SelectAscendingLikelihood, nil)
 			want, err := core.LabelOnPlatformOpts(numObjects, order, pf1, opts)
 			if err != nil {
@@ -149,8 +145,7 @@ func TestJoinMatchesCoreDrivers(t *testing.T) {
 			got := runJoin(
 				crowdjoin.WithStrategy(crowdjoin.PlatformStrategy),
 				crowdjoin.WithPlatform(pf2),
-				crowdjoin.WithInstantDecisions(opts.Instant),
-				crowdjoin.WithIncrementalPlatform(opts.IncrementalScan, opts.IncrementalDeduce))
+				crowdjoin.WithInstantDecisions(opts.Instant))
 			checkCore("platform", &want.Result, got)
 			if !reflect.DeepEqual(want.PublishSizes, got.PublishSizes) ||
 				!reflect.DeepEqual(want.Availability, got.Availability) ||

@@ -496,12 +496,17 @@ func (jp *journalPlatform) Publish(ps []Pair) {
 		jp.readyLabels = jp.readyLabels[:n]
 		jp.head = 0
 	}
-	var fwd []Pair
-	for _, p := range ps {
+	// ps is forwarded as is unless some pair is journaled; the rest then
+	// goes out in a copy sized for the whole batch.
+	fwd, copied := ps, false
+	for i, p := range ps {
 		if l, ok := jp.jrn.lookup(p.A, p.B); ok {
+			if !copied {
+				fwd, copied = append(make([]Pair, 0, len(ps)), ps[:i]...), true
+			}
 			jp.ready = append(jp.ready, p)
 			jp.readyLabels = append(jp.readyLabels, l)
-		} else {
+		} else if copied {
 			fwd = append(fwd, p)
 		}
 	}
